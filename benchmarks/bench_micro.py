@@ -14,6 +14,7 @@ from repro.attacks.ap_attack import ApAttack
 from repro.attacks.poi_attack import PoiAttack, poi_set_distance
 from repro.attacks.reference import (
     ap_rank_reference,
+    hmc_select_target_reference,
     poi_rank_reference,
     poi_set_distance_reference,
 )
@@ -22,7 +23,7 @@ from repro.core.composition import composition_count, enumerate_compositions
 from repro.core.mood import Mood
 from repro.core.pipeline import evaluate_mood
 from repro.core.split import split_fixed_time, split_on_gaps
-from repro.lppm import GeoInd, Trilateration
+from repro.lppm import GeoInd, HeatmapConfusion, Trilateration
 from repro.poi.clustering import extract_pois
 
 
@@ -44,6 +45,18 @@ def get_scaled_attacks(n_users):
         poi = PoiAttack().fit(background)
         _scaled_attacks[n_users] = (ap, poi, probe)
     return _scaled_attacks[n_users]
+
+
+_scaled_hmc = {}
+
+
+def get_scaled_hmc(n_users):
+    """HMC fitted on the same background as :func:`get_scaled_attacks`."""
+    if n_users not in _scaled_hmc:
+        background = synthetic_background(n_users, seed=7)
+        hmc = HeatmapConfusion(cell_size_m=800.0, ref_lat=CITY_LAT).fit(background)
+        _scaled_hmc[n_users] = (hmc, synthetic_trace("probe", seed=6))
+    return _scaled_hmc[n_users]
 
 
 class TestAttackCosts:
@@ -120,6 +133,24 @@ class TestKernelScaling:
         )
         assert ap_ref / ap_fast >= 5.0
         assert poi_ref / poi_fast >= 5.0
+
+    @pytest.mark.parametrize("n_users", [100, 1000])
+    def test_hmc_select_target_at_n_users(self, benchmark, n_users):
+        hmc, probe = get_scaled_hmc(n_users)
+        target, _ = benchmark(lambda: hmc.select_target(probe))
+        assert target == hmc_select_target_reference(hmc, probe)[0]
+
+    def test_hmc_select_speedup_vs_reference_at_1000_users(self):
+        """The same ≥5× bar for HMC's kernel target selection."""
+        hmc, probe = get_scaled_hmc(1000)
+        assert hmc.select_target(probe)[0] == hmc_select_target_reference(hmc, probe)[0]
+        fast = time_fn(lambda: hmc.select_target(probe), repeat=3)
+        ref = time_fn(lambda: hmc_select_target_reference(hmc, probe), repeat=3)
+        print(
+            f"\nHMC.select_target @1000: {fast * 1e3:.2f} ms vs "
+            f"{ref * 1e3:.2f} ms reference ({ref / fast:.1f}x)"
+        )
+        assert ref / fast >= 5.0
 
 
 class TestFeatureKernels:

@@ -5,26 +5,12 @@ Each user's past mobility is aggregated into an 800 m-cell heatmap; an
 anonymous trace is attributed to the known user whose heatmap minimises
 the Topsoe divergence.
 
-This is the hot path of MooD's composition search (every candidate
-composition is attacked), so the comparison is a *zero-copy* kernel: the
-divergence of the anonymous distribution against all stored profiles is
-computed directly on the columns of the profile matrix that the
-anonymous trace actually visits, plus a closed-form correction for the
-rest.  Writing the Topsoe sum per profile row ``p`` against the query
-``q`` as
-
-    T(p, q) = Σ_j [ p_j ln p_j + q_j ln(2 q_j) − (p_j+q_j) ln(p_j+q_j) ]
-              + ln 2 · (1 + q_out)                          (j ∈ supp(q)∩V)
-
-— where ``V`` is the profile cell vocabulary and ``q_out`` the anonymous
-mass outside it — every term outside the (small) support of ``q``
-collapses into the closed-form ``ln 2`` correction, because both
-distributions sum to one (the profile mass missing from ``supp(q)``
-contributes ``p_j ln 2`` each, which cancels exactly against the
-expansion of the overlap terms).  The ``p ln p`` entropy terms are
-precomputed at fit time, so a query touches only a ``(users × |supp(q)|)``
-slice instead of materialising the full padded ``(users × cells)``
-matrix that the previous implementation copied on every call.
+Every candidate composition of MooD's search is attacked, so the
+comparison runs on the zero-copy Topsoe kernel of
+:class:`~repro.poi.heatmap.HeatmapProfiles` (shared with the HMC LPPM's
+target selection): the anonymous distribution is scored against all
+stored profiles on the columns it actually visits, plus a closed-form
+correction for the rest.
 
 :meth:`ApAttack.top1` skips even the final sort: the ``is_protected``
 inner loop needs one argmin, not a ranking.
@@ -32,8 +18,7 @@ inner loop needs one argmin, not a ranking.
 
 from __future__ import annotations
 
-import bisect
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -41,11 +26,10 @@ from repro.attacks.base import Attack
 from repro.registry import register_attack
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
-from repro.geo.grid import Cell, MetricGrid
-from repro.poi.heatmap import Heatmap, build_heatmap
+from repro.geo.grid import MetricGrid
+from repro.poi.heatmap import Heatmap, HeatmapProfiles, build_heatmap
 
 _EPS = 1e-12
-_LN2 = float(np.log(2.0))
 
 
 @register_attack("ap")
@@ -57,32 +41,15 @@ class ApAttack(Attack):
     def __init__(self, cell_size_m: float = 800.0, ref_lat: float = 45.0) -> None:
         super().__init__()
         self.grid = MetricGrid(cell_size_m, ref_lat=ref_lat)
-        self._users: List[str] = []
-        self._cell_index: Dict[Cell, int] = {}
-        self._matrix = np.zeros((0, 0))
-        self._plogp = np.zeros((0, 0))
+        self._kernel = HeatmapProfiles({})
 
     def _build_profiles(self, background: MobilityDataset) -> None:
-        heatmaps = {}
-        vocabulary: Dict[Cell, int] = {}
-        for trace in background.traces():
-            if len(trace) == 0:
-                continue
-            hm = self._heatmap(trace)
-            heatmaps[trace.user_id] = hm
-            for cell in hm.cells():
-                vocabulary.setdefault(cell, len(vocabulary))
-        self._users = sorted(heatmaps)
-        self._cell_index = vocabulary
-        matrix = np.zeros((len(self._users), len(vocabulary)), dtype=np.float64)
-        for row, user in enumerate(self._users):
-            for cell, mass in heatmaps[user].items():
-                matrix[row, vocabulary[cell]] = mass
-        self._matrix = matrix
-        # Per-row entropy terms p·ln p, fixed for the attack's lifetime:
-        # the query-time kernel only gathers the columns it needs.
-        self._plogp = np.where(
-            matrix > 0.0, matrix * np.log(np.maximum(matrix, _EPS)), 0.0
+        self._kernel = HeatmapProfiles(
+            {
+                trace.user_id: self._heatmap(trace)
+                for trace in background.traces()
+                if len(trace) > 0
+            }
         )
 
     supports_refit = True
@@ -90,60 +57,29 @@ class ApAttack(Attack):
     def refit(self, delta: MobilityDataset) -> "ApAttack":
         """Replace the profiles of *delta*'s users in the fitted state.
 
-        The Topsoe kernel's fit-time artefacts update in place: new
-        cells append to the vocabulary (column order may differ from a
-        fresh fit, but the query kernel gathers columns by *cell*, in
-        the anonymous heatmap's iteration order, so every divergence is
-        bit-identical), affected rows are rewritten and their ``p·ln p``
-        terms recomputed with the fit-time formula, and users whose
-        delta trace is empty are dropped — exactly what a full
-        :meth:`fit` on the updated background would build.
+        The kernel updates in place (:meth:`HeatmapProfiles.refit`):
+        every divergence is bit-identical to a fresh :meth:`fit` on the
+        updated background, and users whose delta trace is empty are
+        dropped.
         """
         self._require_fitted()
-        heatmaps: Dict[str, Optional[Heatmap]] = {}
-        for trace in delta.traces():
-            heatmaps[trace.user_id] = (
-                self._heatmap(trace) if len(trace) > 0 else None
-            )
-        vocabulary = self._cell_index
-        for hm in heatmaps.values():
-            if hm is None:
-                continue
-            for cell in hm.cells():
-                vocabulary.setdefault(cell, len(vocabulary))
-        matrix = self._matrix
-        plogp = self._plogp
-        grown = len(vocabulary) - matrix.shape[1]
-        if grown > 0:
-            matrix = np.pad(matrix, ((0, 0), (0, grown)))
-            plogp = np.pad(plogp, ((0, 0), (0, grown)))
-        users = list(self._users)
-        for user in sorted(heatmaps):
-            hm = heatmaps[user]
-            row = bisect.bisect_left(users, user)
-            present = row < len(users) and users[row] == user
-            if hm is None:
-                if present:
-                    users.pop(row)
-                    matrix = np.delete(matrix, row, axis=0)
-                    plogp = np.delete(plogp, row, axis=0)
-                continue
-            if not present:
-                users.insert(row, user)
-                matrix = np.insert(matrix, row, 0.0, axis=0)
-                plogp = np.insert(plogp, row, 0.0, axis=0)
-            else:
-                matrix[row, :] = 0.0
-            for cell, mass in hm.items():
-                matrix[row, vocabulary[cell]] = mass
-            values = matrix[row]
-            plogp[row] = np.where(
-                values > 0.0, values * np.log(np.maximum(values, _EPS)), 0.0
-            )
-        self._users = users
-        self._matrix = matrix
-        self._plogp = plogp
+        self._kernel.refit(
+            {
+                trace.user_id: self._heatmap(trace) if len(trace) > 0 else None
+                for trace in delta.traces()
+            }
+        )
         return self
+
+    @property
+    def _users(self) -> List[str]:
+        """Profiled user ids, sorted (the kernel's row order)."""
+        return self._kernel.users
+
+    @property
+    def _matrix(self) -> np.ndarray:
+        """The kernel's dense ``(users × cells)`` profile matrix."""
+        return self._kernel.matrix
 
     def _heatmap(self, trace: Trace) -> Heatmap:
         return self._cached(
@@ -156,7 +92,7 @@ class ApAttack(Attack):
     def profile_matrix(self) -> np.ndarray:
         """Copy of the (users × cells) profile matrix, for analysis."""
         self._require_fitted()
-        return self._matrix.copy()
+        return self._kernel.matrix.copy()
 
     def _divergences(self, trace: Trace) -> Optional[np.ndarray]:
         """Topsoe divergence of *trace* against every profile row.
@@ -165,30 +101,9 @@ class ApAttack(Attack):
         profiles); otherwise one value per user of :attr:`_users`.
         """
         self._require_fitted()
-        if len(trace) == 0 or not self._users:
+        if len(trace) == 0 or not self._kernel.users:
             return None
-        anon = self._heatmap(trace)
-        cols: List[int] = []
-        qvals: List[float] = []
-        q_out = 0.0
-        cell_index = self._cell_index
-        for cell, mass in anon.items():
-            j = cell_index.get(cell)
-            if j is None:
-                q_out += mass
-            else:
-                cols.append(j)
-                qvals.append(mass)
-        div = np.full(len(self._users), _LN2 * (1.0 + q_out), dtype=np.float64)
-        if cols:
-            col_idx = np.asarray(cols, dtype=np.intp)
-            q = np.asarray(qvals, dtype=np.float64)
-            sub = self._matrix[:, col_idx]
-            m = sub + q[None, :]
-            # q > 0 on every selected column, so m > 0: no masking needed.
-            div += (self._plogp[:, col_idx] - m * np.log(m)).sum(axis=1)
-            div += float((q * np.log(2.0 * q)).sum())
-        return div
+        return self._kernel.divergences(self._heatmap(trace))
 
     def rank(self, trace: Trace) -> List[Tuple[str, float]]:
         divergences = self._divergences(trace)
@@ -218,7 +133,7 @@ def _topsoe_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     Retained as the scalar-reference kernel for the equivalence tests
     and benchmarks (see :mod:`repro.attacks.reference`); the query path
-    uses the zero-copy decomposition in :meth:`ApAttack._divergences`.
+    uses the zero-copy decomposition in :meth:`HeatmapProfiles.divergences`.
     """
     m = p + q[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):

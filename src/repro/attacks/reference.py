@@ -1,39 +1,45 @@
-"""Scalar reference implementations of the attack kernels.
+"""Scalar reference implementations of the attack and HMC kernels.
 
 The vectorised hot paths (:meth:`ApAttack.rank`'s zero-copy Topsoe
-kernel, :meth:`PoiAttack.rank`'s packed pairwise kernel) replaced
+kernel, :meth:`PoiAttack.rank`'s packed pairwise kernel, and HMC's
+kernel-based target selection and per-cell materialisation) replaced
 straightforward implementations that are easy to audit against the
 papers.  Those originals live on here, byte-for-byte, as the ground
 truth for:
 
 * the equivalence property tests (``tests/test_equivalence.py``) — the
   fast kernels must reproduce these rankings *exactly*, including
-  tie-break order, on randomised traces;
+  tie-break order, on randomised traces, and HMC must pick the same
+  target and publish the same bytes;
 * the micro-benchmarks (``benchmarks/bench_micro.py`` and
   ``python -m repro bench``) — the committed ``BENCH_*.json`` speedups
   are measured against these functions, not against a remembered
   number.
 
-They take a *fitted* attack and reuse its profiles, so reference and
-fast path see identical training state.
+They take a *fitted* attack (or HMC) and reuse its profiles, so
+reference and fast path see identical training state.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.attacks.ap_attack import ApAttack, _topsoe_rows
 from repro.attacks.poi_attack import PoiAttack
 from repro.core.trace import Trace
+from repro.errors import ConfigurationError, NotFittedError
 from repro.geo.grid import Cell
+from repro.lppm.hmc import HeatmapConfusion, heatmap_divergence
 from repro.poi.clustering import POI
-from repro.poi.heatmap import build_heatmap
+from repro.poi.heatmap import Heatmap, build_heatmap
 
 __all__ = [
     "ap_rank_reference",
+    "hmc_apply_reference",
+    "hmc_select_target_reference",
     "poi_set_distance_reference",
     "poi_rank_reference",
     "rankings_equivalent",
@@ -89,23 +95,81 @@ def ap_rank_reference(attack: ApAttack, trace: Trace) -> List[Tuple[str, float]]
     anonymous trace's out-of-vocabulary cells and run the dense Topsoe
     kernel over the full ``(users × width)`` copy."""
     attack._require_fitted()
-    if len(trace) == 0 or not attack._users:
+    kernel = attack._kernel
+    if len(trace) == 0 or not kernel.users:
         return []
     anon = build_heatmap(trace, attack.grid)
-    n_known = len(attack._cell_index)
+    n_known = len(kernel.cell_index)
     extra: Dict[Cell, int] = {}
     for cell in anon.cells():
-        if cell not in attack._cell_index:
+        if cell not in kernel.cell_index:
             extra.setdefault(cell, n_known + len(extra))
     width = n_known + len(extra)
     q = np.zeros(width, dtype=np.float64)
     for cell, mass in anon.items():
-        q[attack._cell_index.get(cell, extra.get(cell))] = mass
-    p = np.zeros((len(attack._users), width), dtype=np.float64)
-    p[:, :n_known] = attack._matrix
+        q[kernel.cell_index.get(cell, extra.get(cell))] = mass
+    p = np.zeros((len(kernel.users), width), dtype=np.float64)
+    p[:, :n_known] = kernel.matrix
     divergences = _topsoe_rows(p, q)
     order = np.argsort(divergences, kind="stable")
-    return [(attack._users[i], float(divergences[i])) for i in order]
+    return [(kernel.users[i], float(divergences[i])) for i in order]
+
+
+def hmc_select_target_reference(
+    hmc: HeatmapConfusion, trace: Trace
+) -> Tuple[str, Heatmap]:
+    """The original :meth:`HeatmapConfusion.select_target`: one scalar
+    :func:`heatmap_divergence` per pooled user, in sorted-id order, the
+    first strict minimum wins."""
+    if not hmc._profiles:
+        raise NotFittedError("call HeatmapConfusion.fit() before apply()")
+    own = build_heatmap(trace, hmc.grid)
+    best_user: Optional[str] = None
+    best_div = math.inf
+    for user_id in sorted(hmc._profiles):
+        if user_id == trace.user_id:
+            continue
+        div = heatmap_divergence(own, hmc._profiles[user_id])
+        if div < best_div:
+            best_div = div
+            best_user = user_id
+    if best_user is None:
+        raise ConfigurationError(
+            f"no candidate target profile for user {trace.user_id!r}"
+        )
+    return (best_user, hmc._profiles[best_user])
+
+
+def hmc_apply_reference(hmc: HeatmapConfusion, trace: Trace) -> Trace:
+    """The original :meth:`HeatmapConfusion.apply`: a per-record loop
+    with :meth:`MetricGrid.cell_of` and a per-cell mapping memo, on the
+    target of :func:`hmc_select_target_reference`."""
+    if len(trace) == 0:
+        return trace
+    _, target = hmc_select_target_reference(hmc, trace)
+    target_cells = target.cells()
+    tc_centers = np.array([hmc.grid.center_of(c) for c in target_cells])
+    tc_bonus = hmc.popularity_weight * np.log10(
+        np.array([target.mass(c) for c in target_cells]) + 1e-12
+    )
+    mapping: Dict[Cell, Cell] = {}
+    new_lats = np.array(trace.lats, copy=True)
+    new_lngs = np.array(trace.lngs, copy=True)
+    for i in range(len(trace)):
+        src = hmc.grid.cell_of(float(trace.lats[i]), float(trace.lngs[i]))
+        dst = mapping.get(src)
+        if dst is None:
+            dst = hmc._best_cell(src, target_cells, tc_centers, tc_bonus)
+            mapping[src] = dst
+        if dst != src:
+            src_lat, src_lng = hmc.grid.center_of(src)
+            dst_lat, dst_lng = hmc.grid.center_of(dst)
+            new_lats[i] += dst_lat - src_lat
+            new_lngs[i] += dst_lng - src_lng
+    return trace.with_positions(
+        np.clip(new_lats, -90.0, 90.0),
+        (new_lngs + 540.0) % 360.0 - 180.0,
+    )
 
 
 def _directed_distance_reference(a: Sequence[POI], b: Sequence[POI]) -> float:

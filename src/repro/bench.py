@@ -1,9 +1,9 @@
 """Kernel timing harness and perf snapshots (``python -m repro bench``).
 
 Measures the composition-search hot-path kernels — attack ``rank()`` /
-``top1()`` at N profiled users, POI extraction, POI-set distance —
-against the retained scalar reference implementations
-(:mod:`repro.attacks.reference`), plus an end-to-end engine smoke
+``top1()`` and HMC target selection at N profiled users, POI
+extraction, POI-set distance — against the retained scalar reference
+implementations (:mod:`repro.attacks.reference`), plus an end-to-end engine smoke
 (users/sec).  Speedups are *measured on the spot*, never remembered:
 every snapshot times the reference and the fast kernel on the same data
 in the same process.
@@ -87,12 +87,14 @@ from repro.attacks.ap_attack import ApAttack
 from repro.attacks.poi_attack import PoiAttack, poi_set_distance
 from repro.attacks.reference import (
     ap_rank_reference,
+    hmc_select_target_reference,
     poi_rank_reference,
     poi_set_distance_reference,
     rankings_equivalent,
 )
 from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
+from repro.lppm.hmc import HeatmapConfusion
 from repro.poi.clustering import extract_pois, extract_pois_reference
 
 #: Reference city (Lyon, the Privamov vintage).
@@ -182,11 +184,13 @@ def bench_rank_at_scale(
     n_users: int, seed: int = 7, repeat: int = 3
 ) -> Dict[str, Dict[str, float]]:
     """``rank()``/``top1()`` timings at *n_users* profiled users, fast vs
-    scalar reference, for the AP- and POI-attacks."""
+    scalar reference, for the AP- and POI-attacks, and HMC's target
+    selection over the same users."""
     background = synthetic_background(n_users, seed=seed)
     probe = synthetic_trace("probe", seed=seed - 1)
     ap = ApAttack(cell_size_m=800.0, ref_lat=CITY_LAT).fit(background)
     poi = PoiAttack().fit(background)
+    hmc = HeatmapConfusion(cell_size_m=800.0, ref_lat=CITY_LAT).fit(background)
     # Sanity: fast and reference kernels must agree before timing them.
     if not rankings_equivalent(ap.rank(probe), ap_rank_reference(ap, probe)):
         raise AssertionError("AP fast ranking diverged from the scalar reference")
@@ -194,6 +198,8 @@ def bench_rank_at_scale(
         raise AssertionError("POI fast ranking diverged from the scalar reference")
     if ap.top1(probe) != ap.rank(probe)[0] or poi.top1(probe) != poi.rank(probe)[0]:
         raise AssertionError("top1 fast path disagreed with rank()[0]")
+    if hmc.select_target(probe)[0] != hmc_select_target_reference(hmc, probe)[0]:
+        raise AssertionError("HMC target selection diverged from the scalar reference")
     out = {
         "ap_rank": _speedup_entry(
             time_fn(lambda: ap.rank(probe), repeat=repeat),
@@ -203,12 +209,16 @@ def bench_rank_at_scale(
             time_fn(lambda: poi.rank(probe), repeat=repeat),
             time_fn(lambda: poi_rank_reference(poi, probe), repeat=repeat),
         ),
+        "hmc_select": _speedup_entry(
+            time_fn(lambda: hmc.select_target(probe), repeat=repeat),
+            time_fn(lambda: hmc_select_target_reference(hmc, probe), repeat=repeat),
+        ),
         "ap_top1": {"fast_s": time_fn(lambda: ap.top1(probe), repeat=repeat)},
         "poi_top1": {"fast_s": time_fn(lambda: poi.top1(probe), repeat=repeat)},
     }
     out["meta"] = {
         "n_users": float(n_users),
-        "profile_cells": float(len(ap._cell_index)),
+        "profile_cells": float(len(ap._kernel.cell_index)),
         "profile_pois": float(len(poi._pw)),
         "probe_records": float(len(probe)),
     }
@@ -1557,7 +1567,7 @@ def format_snapshot(snapshot: Dict[str, Any]) -> str:
     """Human-readable digest of a :func:`run_micro`/:func:`run_smoke` dict."""
     lines = [f"bench mode         : {snapshot['mode']}"]
     for n, kernels in sorted(snapshot["rank_at_users"].items(), key=lambda kv: int(kv[0])):
-        for name in ("ap_rank", "poi_rank"):
+        for name in ("ap_rank", "poi_rank", "hmc_select"):
             entry = kernels[name]
             lines.append(
                 f"{name:18s} @ {n:>4s} users : {entry['fast_s'] * 1e3:8.2f} ms "

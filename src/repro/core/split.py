@@ -16,6 +16,8 @@ the same API and is exercised by the ablation bench.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import List, Tuple
 
 import numpy as np
@@ -45,24 +47,112 @@ def split_in_half(trace: Trace) -> Tuple[Trace, Trace]:
     return (left, right)
 
 
+def check_window_s(window_s: float) -> float:
+    """*window_s* as a float; :class:`ConfigurationError` unless finite and > 0."""
+    window_s = float(window_s)
+    if not (math.isfinite(window_s) and window_s > 0):
+        raise ConfigurationError(
+            f"window_s must be positive and finite, got {window_s}"
+        )
+    return window_s
+
+
+def next_window_edge(edge: float, window_s: float) -> float:
+    """``edge + window_s``, the next tumbling-window boundary.
+
+    Raises :class:`ConfigurationError` when the addition is absorbed by
+    float rounding (``1.6e9 + 1e-7 == 1.6e9``): a window loop stepping
+    by *window_s* would otherwise stay on one edge forever.
+    """
+    nxt = edge + window_s
+    if nxt == edge:
+        raise ConfigurationError(
+            f"window_s={window_s!r} is below the float resolution of "
+            f"timestamps near t={edge!r}"
+        )
+    return nxt
+
+
+def window_start(edge: float, window_s: float, t: float) -> float:
+    """Start of the tumbling window holding *t*, stepping up from *edge* ≤ *t*.
+
+    The boundaries are exactly those of repeated float addition
+    (``edge``, ``edge + w``, ``(edge + w) + w``, …), which batch and
+    stream windowing share, but a run of empty windows costs O(1) per
+    binade crossed instead of one step per window.
+    """
+    if not math.isfinite(t):
+        raise ConfigurationError(f"timestamp {t!r} is not finite")
+    while True:
+        nxt = next_window_edge(edge, window_s)
+        if nxt > t:
+            return edge
+        edge = _jump_on_grid(nxt, window_s, t)
+
+
+def _jump_on_grid(b: float, w: float, t: float) -> float:
+    """Advance boundary *b* by the steps of repeated addition of *w* that
+    keep every sum on *b*'s float grid, without passing *t*.
+
+    On a grid of spacing ``u`` (one binade; near zero, the subnormal
+    spacing) *b* is ``a·u`` for an integer ``a`` and ``fl(b + w)`` is
+    ``(a + w/u rounded to an integer)·u``: a constant step.  An exact
+    half (``w/u`` ending in ``.5``) rounds to the even neighbour, which
+    is a constant step too once ``a`` is even.
+    """
+    u = math.ulp(b)
+    if u == math.ulp(0.0):
+        top = 2**53  # |x| <= 2**-1021 keeps the subnormal spacing
+    elif b > 0:
+        top = 2**53  # x <= 2**53·u stays in b's binade
+    else:
+        top = -(2**52)  # x <= -2**52·u stays in b's binade
+    a = int(b / u)
+    steps = Fraction(w) / Fraction(u)
+    whole = math.floor(steps)
+    half = steps - whole
+    if half < Fraction(1, 2):
+        step = whole
+    elif half > Fraction(1, 2):
+        step = whole + 1
+    elif a % 2 == 0:
+        step = whole + whole % 2
+    else:
+        return b
+    if step <= 0:
+        return b
+    k = min(
+        (top - steps - a) // step + 1,  # every sum a + j·step + w/u <= top
+        (Fraction(t) / Fraction(u) - a) // step,  # the landing edge <= t
+    )
+    if k <= 0:
+        return b
+    return float(a + k * step) * u
+
+
 def split_fixed_time(trace: Trace, window_s: float) -> List[Trace]:
     """Cut *trace* into consecutive windows of *window_s* seconds.
 
-    Empty windows are skipped.  With ``window_s = 86 400`` this models
-    the daily-upload crowdsensing scenario of §4.2.
+    Empty windows are skipped (jumped, see :func:`window_start`).  With
+    ``window_s = 86 400`` this models the daily-upload crowdsensing
+    scenario of §4.2.
     """
-    if window_s <= 0:
-        raise ConfigurationError(f"window_s must be positive, got {window_s}")
+    window_s = check_window_s(window_s)
     if len(trace) == 0:
         return []
     chunks: List[Trace] = []
+    ts = trace.timestamps
     t0 = trace.start_time()
     end = trace.end_time()
     while t0 <= end:
-        chunk = trace.slice_time(t0, t0 + window_s)
+        t1 = next_window_edge(t0, window_s)
+        chunk = trace.slice_time(t0, t1)
         if len(chunk) > 0:
             chunks.append(chunk)
-        t0 += window_s
+        later = ts[ts >= t1]
+        if len(later) == 0:
+            break
+        t0 = window_start(t1, window_s, float(later[0]))
     return chunks
 
 

@@ -11,7 +11,12 @@ Implementation notes
   over the candidate pool (the protection side's own copy of users' past
   traces) — closeness keeps the spatial displacement, and therefore the
   utility loss, small, which is how the original paper obtains good
-  utility.
+  utility.  The pool is scored in one pass of the
+  :class:`~repro.poi.heatmap.HeatmapProfiles` kernel the AP-attack
+  uses; the few candidates within :data:`NEAR_TIE` of the minimum are
+  then re-scored with the scalar :func:`heatmap_divergence`, so the
+  choice and its smallest-user-id tie-break are exactly those of a
+  scalar scan over the sorted pool.
 * Materialisation maps each source **cell** to a cell of the target's
   support chosen by a *mass-aware nearest* rule (distance minus a bonus
   for the target's popular cells), moving all of a cell's records
@@ -39,9 +44,15 @@ from repro.errors import ConfigurationError, NotFittedError
 from repro.geo.grid import Cell, MetricGrid
 from repro.lppm.base import LPPM, coerce_rng
 from repro.registry import register_lppm
-from repro.metrics.divergence import topsoe
-from repro.poi.heatmap import Heatmap, build_heatmap
+from repro.metrics.divergence import kl_divergence, topsoe
+from repro.poi.heatmap import Heatmap, HeatmapProfiles, build_heatmap
 from repro.rng import SeedLike
+
+#: Kernel divergences within this of the minimum are re-scored exactly.
+#: The kernel sums in a different order than the scalar path; their
+#: difference is a few ulps (measured ≤ 1.6e-15 on Topsoe values in
+#: ``[0, 2 ln 2]``), so every user the scalar scan could pick is inside.
+NEAR_TIE = 1e-9
 
 
 def heatmap_divergence(a: Heatmap, b: Heatmap) -> float:
@@ -50,6 +61,18 @@ def heatmap_divergence(a: Heatmap, b: Heatmap) -> float:
     p = np.array([a.mass(c) for c in cells])
     q = np.array([b.mass(c) for c in cells])
     return topsoe(p, q)
+
+
+def _self_kl(hm: Heatmap) -> float:
+    """``KL(p ‖ p/2)`` over *hm*'s masses in sorted-cell order.
+
+    Against a heatmap it shares no cell with, :func:`heatmap_divergence`
+    reduces to ``2·(½·own + ½·other)`` of these terms, bit for bit: the
+    union alignment puts a zero opposite each mass, so each side's KL
+    term sums ``p·ln(p / (p/2))`` over its own cells in sorted order.
+    """
+    p = np.array([mass for _, mass in hm.items()])
+    return kl_divergence(p, 0.5 * p)
 
 
 @register_lppm("hmc")
@@ -75,6 +98,8 @@ class HeatmapConfusion(LPPM):
         #: units per decade of mass.  0 recovers pure nearest-cell mapping.
         self.popularity_weight = float(popularity_weight)
         self._profiles: Dict[str, Heatmap] = {}
+        self._kernel: Optional[HeatmapProfiles] = None
+        self._profile_kl: Dict[str, float] = {}
 
     # -- training --------------------------------------------------------
 
@@ -90,6 +115,8 @@ class HeatmapConfusion(LPPM):
                 "HMC needs past traces of at least two users to confuse between"
             )
         self._profiles = profiles
+        self._kernel = HeatmapProfiles(profiles)
+        self._profile_kl = {user: _self_kl(hm) for user, hm in profiles.items()}
         return self
 
     @property
@@ -99,23 +126,45 @@ class HeatmapConfusion(LPPM):
     # -- target selection ----------------------------------------------------
 
     def select_target(self, trace: Trace) -> Tuple[str, Heatmap]:
-        """Closest other-user profile by Topsoe divergence."""
-        if not self._profiles:
+        """Closest other-user profile by Topsoe divergence.
+
+        Ties go to the smallest user id.  The kernel scores the whole
+        pool at once; only candidates within :data:`NEAR_TIE` of its
+        minimum are compared with the exact scalar divergence, in
+        sorted-id order with a strict ``<``.  A trace sharing no cell
+        with the pool ties every user at ``2 ln 2``; those exact values
+        come from the fit-time :func:`_self_kl` terms, not one scalar
+        divergence per user.
+        """
+        kernel = self._kernel
+        if kernel is None:
             raise NotFittedError("call HeatmapConfusion.fit() before apply()")
         own = build_heatmap(trace, self.grid)
-        best_user: Optional[str] = None
-        best_div = math.inf
-        for user_id in sorted(self._profiles):
-            if user_id == trace.user_id:
-                continue
-            div = heatmap_divergence(own, self._profiles[user_id])
-            if div < best_div:
-                best_div = div
-                best_user = user_id
-        if best_user is None:
+        div = kernel.divergences(own)
+        row = kernel.row_of(trace.user_id)
+        if row is not None:
+            div[row] = math.inf
+        lowest = float(div.min())
+        if lowest == math.inf:
             raise ConfigurationError(
                 f"no candidate target profile for user {trace.user_id!r}"
             )
+        near = np.flatnonzero(div <= lowest + NEAR_TIE)
+        best_user = kernel.users[int(near[0])]
+        if len(near) > 1:
+            own_cells = own.support()
+            own_kl = _self_kl(own)
+            best_div = math.inf
+            for i in near:
+                user_id = kernel.users[int(i)]
+                profile = self._profiles[user_id]
+                if own_cells.isdisjoint(profile.cells()):
+                    exact = 2.0 * (0.5 * own_kl + 0.5 * self._profile_kl[user_id])
+                else:
+                    exact = heatmap_divergence(own, profile)
+                if exact < best_div:
+                    best_div = exact
+                    best_user = user_id
         return (best_user, self._profiles[best_user])
 
     # -- obfuscation ------------------------------------------------------------
@@ -129,22 +178,36 @@ class HeatmapConfusion(LPPM):
         tc_bonus = self.popularity_weight * np.log10(
             np.array([target.mass(c) for c in target_cells]) + 1e-12
         )
-        # Map every source cell to its best target cell: geometric
-        # proximity discounted by the target cell's popularity.
-        mapping: Dict[Cell, Cell] = {}
+        # Every record's source cell by MetricGrid.cell_of's floor
+        # formula, kept in floats as a complex key (column + row·i) for
+        # a 1-D unique: ``int()`` of a distinct key's parts then matches
+        # ``math.floor`` exactly, non-finite input included.
+        grid = self.grid
+        keys = np.empty(len(trace), dtype=np.complex128)
+        keys.real = np.floor(trace.lngs * grid._m_per_deg_lng / grid.cell_size_m)
+        keys.imag = np.floor(trace.lats * grid._m_per_deg_lat / grid.cell_size_m)
+        cells, inverse = np.unique(keys, return_inverse=True)
+        # Map each distinct source cell to its best target cell once:
+        # geometric proximity discounted by the target cell's popularity.
+        d_lat = np.zeros(len(cells))
+        d_lng = np.zeros(len(cells))
+        moved = np.zeros(len(cells), dtype=bool)
+        for k, key in enumerate(cells.tolist()):
+            src = Cell(int(key.real), int(key.imag))
+            dst = self._best_cell(src, target_cells, tc_centers, tc_bonus)
+            if dst != src:
+                src_lat, src_lng = grid.center_of(src)
+                dst_lat, dst_lng = grid.center_of(dst)
+                d_lat[k] = dst_lat - src_lat
+                d_lng[k] = dst_lng - src_lng
+                moved[k] = True
+        # Shift only the records of moved cells: an unmoved coordinate
+        # keeps its exact bytes (``-0.0 + 0.0`` would be ``+0.0``).
+        on = moved[inverse]
         new_lats = np.array(trace.lats, copy=True)
         new_lngs = np.array(trace.lngs, copy=True)
-        for i in range(len(trace)):
-            src = self.grid.cell_of(float(trace.lats[i]), float(trace.lngs[i]))
-            dst = mapping.get(src)
-            if dst is None:
-                dst = self._best_cell(src, target_cells, tc_centers, tc_bonus)
-                mapping[src] = dst
-            if dst != src:
-                src_lat, src_lng = self.grid.center_of(src)
-                dst_lat, dst_lng = self.grid.center_of(dst)
-                new_lats[i] += dst_lat - src_lat
-                new_lngs[i] += dst_lng - src_lng
+        new_lats[on] += d_lat[inverse[on]]
+        new_lngs[on] += d_lng[inverse[on]]
         return trace.with_positions(
             np.clip(new_lats, -90.0, 90.0),
             (new_lngs + 540.0) % 360.0 - 180.0,

@@ -5,11 +5,17 @@ value is the number of the user's records falling in that cell,
 normalised to a probability distribution.  Heatmaps are the profile
 model of the AP-attack [22] and the representation manipulated by the
 HMC LPPM [23]; both use 800 m cells in the paper.
+
+Both also compare one heatmap against every known user's by Topsoe
+divergence — the AP-attack to re-identify, HMC to pick the user to
+impersonate — through the one vectorised kernel of
+:class:`HeatmapProfiles`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import bisect
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -21,6 +27,9 @@ from repro.geo.grid import Cell, MetricGrid
 #: for any cell size above ~1 cm — |lat| ≤ 90° is ~1e7 m of northing).
 _PACK = 2**31
 _HALF_PACK = 2**30
+
+_EPS = 1e-12
+_LN2 = float(np.log(2.0))
 
 
 class Heatmap:
@@ -126,3 +135,125 @@ def aggregate_heatmaps(grid: MetricGrid, heatmaps: Iterable[Heatmap]) -> Heatmap
     if n == 0:
         raise ValueError("no heatmaps to aggregate")
     return Heatmap(grid, counts)
+
+
+def _plogp(values: np.ndarray) -> np.ndarray:
+    """Entropy terms ``p·ln p`` with ``0·ln 0 = 0`` (the fit-time formula)."""
+    return np.where(values > 0.0, values * np.log(np.maximum(values, _EPS)), 0.0)
+
+
+class HeatmapProfiles:
+    """Known users' heatmaps as one dense Topsoe kernel.
+
+    Holds the sorted user ids, the cell vocabulary, the dense
+    ``(users × cells)`` profile matrix and its fit-time ``p·ln p``
+    terms.  :meth:`divergences` scores a query heatmap against every
+    row without copying the matrix: it gathers only the columns the
+    query visits, plus a closed-form correction for the rest.  Writing
+    the Topsoe sum per profile row ``p`` against the query ``q`` as
+
+        T(p, q) = Σ_j [ p_j ln p_j + q_j ln(2 q_j) − (p_j+q_j) ln(p_j+q_j) ]
+                  + ln 2 · (1 + q_out)                      (j ∈ supp(q)∩V)
+
+    — where ``V`` is the vocabulary and ``q_out`` the query mass outside
+    it — every term outside the (small) support of ``q`` collapses into
+    the ``ln 2`` correction, because both distributions sum to one (the
+    profile mass missing from ``supp(q)`` contributes ``p_j ln 2`` each,
+    which cancels exactly against the expansion of the overlap terms).
+    A query therefore touches a ``(users × |supp(q)|)`` slice only.
+
+    Columns are gathered in the query's sorted-cell order, so the
+    vocabulary's column order never changes a divergence: a
+    :meth:`refit` that appends cells yields bit-identical values to a
+    fresh build on the updated heatmaps.
+    """
+
+    __slots__ = ("users", "cell_index", "matrix", "plogp")
+
+    def __init__(self, heatmaps: Mapping[str, Heatmap]) -> None:
+        vocabulary: Dict[Cell, int] = {}
+        for hm in heatmaps.values():
+            for cell in hm.cells():
+                vocabulary.setdefault(cell, len(vocabulary))
+        self.users: List[str] = sorted(heatmaps)
+        self.cell_index = vocabulary
+        matrix = np.zeros((len(self.users), len(vocabulary)), dtype=np.float64)
+        for row, user in enumerate(self.users):
+            for cell, mass in heatmaps[user].items():
+                matrix[row, vocabulary[cell]] = mass
+        self.matrix = matrix
+        self.plogp = _plogp(matrix)
+
+    def row_of(self, user_id: str) -> Optional[int]:
+        """Row of *user_id* in :attr:`matrix`, or ``None`` if unknown."""
+        row = bisect.bisect_left(self.users, user_id)
+        if row < len(self.users) and self.users[row] == user_id:
+            return row
+        return None
+
+    def refit(self, heatmaps: Mapping[str, Optional[Heatmap]]) -> None:
+        """Replace the rows of *heatmaps*' users in place.
+
+        New cells append to the vocabulary, each affected row is
+        rewritten and its ``p·ln p`` recomputed with the fit-time
+        formula, a ``None`` heatmap drops its user, and an unknown user
+        is inserted at its sorted position — the state a fresh build on
+        the updated heatmaps would hold, up to column order.
+        """
+        vocabulary = self.cell_index
+        for hm in heatmaps.values():
+            if hm is None:
+                continue
+            for cell in hm.cells():
+                vocabulary.setdefault(cell, len(vocabulary))
+        matrix = self.matrix
+        plogp = self.plogp
+        grown = len(vocabulary) - matrix.shape[1]
+        if grown > 0:
+            matrix = np.pad(matrix, ((0, 0), (0, grown)))
+            plogp = np.pad(plogp, ((0, 0), (0, grown)))
+        users = self.users
+        for user in sorted(heatmaps):
+            hm = heatmaps[user]
+            row = bisect.bisect_left(users, user)
+            present = row < len(users) and users[row] == user
+            if hm is None:
+                if present:
+                    users.pop(row)
+                    matrix = np.delete(matrix, row, axis=0)
+                    plogp = np.delete(plogp, row, axis=0)
+                continue
+            if not present:
+                users.insert(row, user)
+                matrix = np.insert(matrix, row, 0.0, axis=0)
+                plogp = np.insert(plogp, row, 0.0, axis=0)
+            else:
+                matrix[row, :] = 0.0
+            for cell, mass in hm.items():
+                matrix[row, vocabulary[cell]] = mass
+            plogp[row] = _plogp(matrix[row])
+        self.matrix = matrix
+        self.plogp = plogp
+
+    def divergences(self, heatmap: Heatmap) -> np.ndarray:
+        """Topsoe divergence of *heatmap* against every row, in :attr:`users` order."""
+        cols: List[int] = []
+        qvals: List[float] = []
+        q_out = 0.0
+        cell_index = self.cell_index
+        for cell, mass in heatmap.items():
+            j = cell_index.get(cell)
+            if j is None:
+                q_out += mass
+            else:
+                cols.append(j)
+                qvals.append(mass)
+        div = np.full(len(self.users), _LN2 * (1.0 + q_out), dtype=np.float64)
+        if cols:
+            col_idx = np.asarray(cols, dtype=np.intp)
+            q = np.asarray(qvals, dtype=np.float64)
+            m = self.matrix[:, col_idx] + q[None, :]
+            # q > 0 on every selected column, so m > 0: no masking needed.
+            div += (self.plogp[:, col_idx] - m * np.log(m)).sum(axis=1)
+            div += float((q * np.log(2.0 * q)).sum())
+        return div

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.core.engine import DEFAULT_CHUNK_S
+from repro.core.split import check_window_s, next_window_edge, window_start
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError, StreamError
 
@@ -67,8 +68,7 @@ class WindowAssembler:
             raise ConfigurationError(
                 f"unknown window kind {kind!r}; choose from {WINDOW_KINDS}"
             )
-        if float(window_s) <= 0:
-            raise ConfigurationError(f"window_s must be positive, got {window_s}")
+        window_s = check_window_s(window_s)
         if float(gap_s) <= 0:
             raise ConfigurationError(f"gap_s must be positive, got {gap_s}")
         self.user_id = user_id
@@ -109,15 +109,17 @@ class WindowAssembler:
         closed: Optional[ClosedWindow] = None
         if self.kind == "tumbling":
             if self._window_end is None:
-                self._window_end = t + self.window_s
+                self._window_end = next_window_edge(t, self.window_s)
             elif t >= self._window_end:
+                # Repeated-addition boundaries (not multiplication)
+                # match split_fixed_time's exactly; empty windows are
+                # skipped without emitting anything.  The boundary is
+                # found before the cut, so a window size the timestamps
+                # absorb raises with the open window still buffered.
+                start = window_start(self._window_end, self.window_s, t)
+                end = next_window_edge(start, self.window_s)
                 closed = self._cut()
-                # Repeated addition (not multiplication) matches
-                # split_fixed_time's accumulated boundary exactly; empty
-                # windows are skipped without emitting anything.
-                self._window_end += self.window_s
-                while t >= self._window_end:
-                    self._window_end += self.window_s
+                self._window_end = end
         else:  # session
             if self._t and t - self._t[-1] > self.gap_s:
                 closed = self._cut()

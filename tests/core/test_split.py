@@ -1,5 +1,8 @@
 """Tests for repro.core.split — halving, chunking, train/test."""
 
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from repro.core.split import (
     split_in_half,
     split_on_gaps,
     train_test_split,
+    window_start,
 )
 from repro.core.trace import Trace
 from repro.errors import ConfigurationError
@@ -89,6 +93,70 @@ class TestSplitFixedTime:
         chunks = split_fixed_time(t, SECONDS_PER_DAY)
         assert len(chunks) == 2
         assert all(len(c) > 0 for c in chunks)
+
+    def test_absorbed_window_raises(self):
+        # 1.6e9 + 1e-7 == 1.6e9: stepping by the window never advances.
+        trace = uniform_trace(n=10, dt=60.0, t0=1.6e9)
+        with pytest.raises(ConfigurationError, match="float resolution"):
+            split_fixed_time(trace, 1e-7)
+
+    @pytest.mark.parametrize("window_s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_window_raises(self, window_s):
+        with pytest.raises(ConfigurationError, match="finite"):
+            split_fixed_time(uniform_trace(), window_s)
+
+    def test_wide_gap_jumps_empty_windows(self):
+        # 1e12 one-second windows between the two records: walking them
+        # one by one would not finish.
+        trace = Trace("u", [0.0, 0.5, 1e12], [45.0] * 3, [4.0] * 3)
+        chunks = split_fixed_time(trace, 1.0)
+        assert [list(c.timestamps) for c in chunks] == [[0.0, 0.5], [1e12]]
+
+
+def repeated_addition_start(edge, window_s, t):
+    """window_start's definition, one window at a time."""
+    while edge + window_s <= t:
+        assert edge + window_s != edge
+        edge += window_s
+    return edge
+
+
+class TestWindowStart:
+    """The O(1) jump lands on the exact repeated-addition boundary."""
+
+    def cases(self):
+        rng = random.Random(7)
+        for _ in range(60):
+            # Crossing a power of two upward (the float grid coarsens).
+            p2 = 2.0 ** rng.randint(-30, 60)
+            w = p2 * rng.uniform(1e-5, 1e-3)
+            yield p2 - w * rng.randint(1, 2000), w
+            # Exact half-ulp steps: ties round to the even neighbour.
+            base = 2.0 ** rng.randint(0, 40)
+            u = math.ulp(base)
+            yield base + u * rng.randint(0, 99), (rng.randint(1, 50) + 0.5) * u
+            # Negative times crossing zero (the grid refines, then coarsens).
+            w = rng.uniform(0.1, 100.0)
+            yield -w * rng.randint(1, 5000) * rng.random(), w
+            # Subnormal spacing around zero.
+            yield -5e-324 * rng.randint(0, 20000), 5e-324 * rng.randint(1, 9)
+
+    def test_matches_repeated_addition(self):
+        rng = random.Random(11)
+        for edge, w in self.cases():
+            t = edge + w * rng.uniform(0.0, 10_000.0)
+            assert window_start(edge, w, t) == repeated_addition_start(edge, w, t)
+
+    def test_half_ulp_step_absorbed_mid_walk_raises(self):
+        # w is half an ulp at 2**40: from an odd significand the tie
+        # rounds up, from an even one the step is absorbed.
+        u = math.ulp(2.0**40)
+        with pytest.raises(ConfigurationError, match="float resolution"):
+            window_start(2.0**40 + u, u / 2, 2.0**40 + 8 * u)
+
+    def test_non_finite_time_raises(self):
+        with pytest.raises(ConfigurationError, match="not finite"):
+            window_start(0.0, 1.0, math.inf)
 
 
 class TestSplitOnGaps:

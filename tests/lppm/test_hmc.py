@@ -162,3 +162,47 @@ class TestHeatmapDivergence:
         a = build_heatmap(past["u1"], grid)
         b = build_heatmap(past["u2"], grid)
         assert heatmap_divergence(a, b) == pytest.approx(heatmap_divergence(b, a))
+
+
+class TestSelectionScaling:
+    """Deterministic guard against an O(population) scalar loop coming
+    back into target selection: count scalar divergences, not seconds."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import repro.lppm.hmc as hmc_module
+
+        calls = []
+        scalar = hmc_module.heatmap_divergence
+
+        def counting(a, b):
+            calls.append(1)
+            return scalar(a, b)
+
+        monkeypatch.setattr(hmc_module, "heatmap_divergence", counting)
+        return calls
+
+    def test_at_most_two_scalar_divergences_per_selection(self, counted):
+        from repro.bench import CITY_LAT, synthetic_background, synthetic_trace
+
+        background = synthetic_background(200, seed=5)
+        hmc = HeatmapConfusion(ref_lat=CITY_LAT).fit(background)
+        probes = [synthetic_trace(f"p{i}", seed=50 + i) for i in range(5)]
+        probes += background.traces()[:5]  # own profile in the pool
+        # No cell in common with anyone: all 200 users tie at 2 ln 2.
+        probes.append(cluster_trace("far", -33.45, -70.66))
+        for probe in probes:
+            hmc.select_target(probe)
+        assert len(counted) <= 2 * len(probes)
+
+    def test_counter_sees_the_exact_recheck(self, counted, past):
+        # Guard against a vacuous pass: a duplicated profile forces the
+        # exact re-check, which must go through the counted function.
+        twin = MobilityDataset("twins")
+        for trace in past.traces():
+            twin.add(trace)
+        twin.add(past["u2"].with_user("u2-twin"))
+        hmc = HeatmapConfusion(ref_lat=45.0).fit(twin)
+        target, _ = hmc.select_target(cluster_trace("u1", 45.02, 4.02, seed=9))
+        assert target == "u2"
+        assert len(counted) >= 2

@@ -11,7 +11,7 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from repro.core.engine import ProtectionEngine  # noqa: E402
 from repro.core.trace import Trace  # noqa: E402
@@ -490,6 +490,28 @@ def _trace_bytes(trace):
     )
 
 
+#: ``--hypothesis-seed=17``'s counterexample: a daily protect of a trace
+#: spanning ~3.6e11 s, i.e. ~4.1 million one-day windows, all but a few
+#: empty (it used to walk them one by one for ~40 s).
+_SEED17_TRACE = Trace(
+    "seed-17",
+    [2.6663687506381877e-266, 0.99999, 1.1, 360.0, 68163391968.71992,
+     197805665803.5055, 218238011083.22745, 266194456848.40698,
+     324546360671.7625, 355791849036.71497],
+    [86.1, 67.7, 0.0, 11.2, -40.3, 0.0, -47.7, 2.25e-105, 1.6e-186, -86.0],
+    [-119.3, 54.3, -107.2, 0.22, 158.7, 123.5, 70.0, 90.9, -153.1, 92.8],
+)
+#: Window sizes that epoch-scale timestamps absorb (1.6e9 + 1e-7 ==
+#: 1.6e9): each used to spin a server thread forever.
+_EPOCH_TRACE = Trace("epoch", [1.6e9, 1.6e9 + 60.0], [45.0, 45.0], [4.0, 4.0])
+_WINDOW_HANG_FRAMES = [
+    encode_message(ProtectRequest(trace=_SEED17_TRACE, daily=True)),
+    encode_message_v2(ProtectRequest(trace=_EPOCH_TRACE, daily=True, chunk_s=1e-7)),
+    encode_message_v2(StreamOpen(user_id="epoch", window="tumbling", window_s=1e-7)),
+    encode_message_v2(StreamRecord(user_id="epoch", records=((0, 1.6e9, 45.0, 4.0),))),
+]
+
+
 class TestBinaryCodecProperties:
     """Tentpole acceptance: every wire message round-trips through the
     v2 binary codec, and the v1 and v2 decodes agree bit-exactly."""
@@ -580,6 +602,7 @@ class TestBinaryCodecProperties:
             max_size=6,
         )
     )
+    @example(frames=_WINDOW_HANG_FRAMES)
     @settings(max_examples=40, deadline=None)
     def test_mixed_framing_stream_never_desyncs(self, frames):
         """handle_wire sniffs per frame: a mix of v1 lines, v2 frames,
@@ -597,3 +620,22 @@ class TestBinaryCodecProperties:
         for frame, reply in zip(frames, replies):
             assert is_v2_frame(reply) == is_v2_frame(frame)
             decode_frame_any(reply)  # must parse cleanly
+
+    def test_window_hang_frames_answer(self):
+        """The pinned frames get prompt answers: seed 17's protect is
+        served, and every absorbed window size is a bad request."""
+        import asyncio
+
+        service = ProtectionService(stub_engine())
+
+        async def drive():
+            return [await service.handle_wire(f) for f in _WINDOW_HANG_FRAMES]
+
+        replies = [decode_frame_any(r)[1] for r in asyncio.run(drive())]
+        assert isinstance(replies[0], ProtectResponse)
+        assert len(replies[0].pieces) == 7  # one per non-empty day
+        assert isinstance(replies[2], StreamOpened)
+        for reply in (replies[1], replies[3]):
+            assert isinstance(reply, ErrorEnvelope)
+            assert reply.code == "bad_request"
+            assert "float resolution" in reply.message

@@ -9,6 +9,8 @@ boundary behaviour and skipped-empty-window behaviour of the batch
 splitter.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,31 @@ class TestContract:
     def test_nonpositive_params_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
             WindowAssembler("u", **kwargs)
+
+    @pytest.mark.parametrize("window_s", [math.nan, math.inf])
+    def test_non_finite_window_rejected(self, window_s):
+        with pytest.raises(ConfigurationError, match="finite"):
+            WindowAssembler("u", window_s=window_s)
+
+    def test_absorbed_window_raises_at_anchor(self):
+        # 1.6e9 + 1e-7 == 1.6e9: the window would never end.
+        assembler = WindowAssembler("u", kind="tumbling", window_s=1e-7)
+        with pytest.raises(ConfigurationError, match="float resolution"):
+            assembler.add(0, 1.6e9, 45.0, 4.0)
+
+    def test_absorbed_window_raises_with_window_kept(self):
+        # Anchored at t=0 the step is fine; near 1e15 it is absorbed.
+        assembler = WindowAssembler("u", kind="tumbling", window_s=1e-3)
+        assembler.add(0, 0.0, 45.0, 4.0)
+        with pytest.raises(ConfigurationError, match="float resolution"):
+            assembler.add(1, 1e15, 45.0, 4.0)
+        assert assembler.pending == 1
+
+    def test_wide_gap_jumps_empty_windows(self):
+        trace = Trace("u", [0.0, 0.5, 1e12, 1e12 + 0.25], [45.0] * 4, [4.0] * 4)
+        windows = stream_windows(trace, kind="tumbling", window_s=1.0)
+        assert_same_chunks(windows, split_fixed_time(trace, 1.0))
+        assert len(windows) == 2
 
     def test_out_of_order_record_raises(self):
         assembler = WindowAssembler("u")

@@ -14,7 +14,9 @@ retained original implementations in :mod:`repro.attacks.reference` and
   :func:`repro.attacks.reference.rankings_equivalent`);
 * every ``top1`` fast path must equal ``rank()[0]`` exactly, including
   the tie-break by user id — the engine's ``is_protected`` loop relies
-  on that contract.
+  on that contract;
+* HMC must pick the same target and publish byte-identical coordinates
+  (``tobytes()``, so ``-0.0`` is told from ``0.0``).
 """
 
 import math
@@ -30,12 +32,17 @@ from repro.attacks.poi_attack import (
 )
 from repro.attacks.reference import (
     ap_rank_reference,
+    hmc_apply_reference,
+    hmc_select_target_reference,
     poi_rank_reference,
     poi_set_distance_reference,
     rankings_equivalent,
 )
 from repro.bench import CITY_LAT, synthetic_background, synthetic_trace
+from repro.core.dataset import MobilityDataset
 from repro.core.trace import Trace
+from repro.geo.grid import Cell
+from repro.lppm.hmc import HeatmapConfusion, heatmap_divergence
 from repro.poi.clustering import (
     POI,
     extract_pois,
@@ -43,6 +50,7 @@ from repro.poi.clustering import (
     merge_nearby_pois,
     merge_nearby_pois_reference,
 )
+from repro.poi.heatmap import build_heatmap
 
 
 def random_walk_trace(seed, n=400, lat0=45.76, lng0=4.84, step_m=60.0):
@@ -228,3 +236,160 @@ class TestTop1Contract:
                 got = attack.reidentify(probe)
                 if ranked:
                     assert got == expected
+
+
+# -- HMC: kernel target selection and per-cell materialisation --------------
+
+
+def cell_trace(user, grid, counts, t0=0.0):
+    """*counts* records at the centre of each cell, 10 minutes apart."""
+    points = [grid.center_of(cell) for cell, n in counts.items() for _ in range(n)]
+    return Trace(
+        user,
+        t0 + 600.0 * np.arange(len(points)),
+        [lat for lat, _ in points],
+        [lng for _, lng in points],
+    )
+
+
+def assert_hmc_matches_reference(hmc, trace):
+    fast_user, fast_hm = hmc.select_target(trace)
+    ref_user, ref_hm = hmc_select_target_reference(hmc, trace)
+    assert fast_user == ref_user and fast_hm is ref_hm
+    fast = hmc.apply(trace)
+    ref = hmc_apply_reference(hmc, trace)
+    assert fast.lats.tobytes() == ref.lats.tobytes()
+    assert fast.lngs.tobytes() == ref.lngs.tobytes()
+    assert fast.timestamps.tobytes() == ref.timestamps.tobytes()
+    return fast_user, fast
+
+
+@pytest.fixture(scope="module")
+def hmc_pool():
+    background = synthetic_background(40, seed=31)
+    return HeatmapConfusion(ref_lat=CITY_LAT).fit(background), background
+
+
+class TestHmcEquivalence:
+    """HMC's kernel selection and vectorised apply vs the scalar originals
+    (:func:`hmc_select_target_reference`, :func:`hmc_apply_reference`)."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_walks(self, hmc_pool, seed):
+        hmc, _ = hmc_pool
+        assert_hmc_matches_reference(hmc, random_walk_trace(seed + 40))
+
+    @pytest.mark.parametrize("weight", [0.0, 1.0, 3.0])
+    def test_synthetic_probes_and_popularity_weights(self, hmc_pool, weight):
+        _, background = hmc_pool
+        hmc = HeatmapConfusion(ref_lat=CITY_LAT, popularity_weight=weight)
+        hmc.fit(background)
+        for i in range(4):
+            assert_hmc_matches_reference(hmc, synthetic_trace(f"s{i}", seed=300 + i))
+
+    def test_own_user_in_pool_is_never_picked(self, hmc_pool):
+        hmc, background = hmc_pool
+        for trace in background.traces()[:5]:
+            user, _ = assert_hmc_matches_reference(hmc, trace)
+            assert user != trace.user_id
+
+    def test_unknown_user(self, hmc_pool):
+        hmc, background = hmc_pool
+        stranger = background.traces()[3].with_user("not-in-pool")
+        assert_hmc_matches_reference(hmc, stranger)
+
+    def test_query_cells_outside_vocabulary(self, hmc_pool):
+        hmc, _ = hmc_pool
+        far = random_walk_trace(7, lat0=48.85, lng0=2.35)  # Paris, not Lyon
+        half = Trace(
+            "half",
+            np.concatenate([far.timestamps, far.timestamps[-1] + far.timestamps]),
+            np.concatenate([far.lats, random_walk_trace(8).lats]),
+            np.concatenate([far.lngs, random_walk_trace(8).lngs]),
+        )
+        for trace in (far, half):
+            assert_hmc_matches_reference(hmc, trace)
+
+    def test_exact_tie_picks_smaller_id(self):
+        grid = HeatmapConfusion(ref_lat=45.0).grid
+        twin = {Cell(5, 5): 3, Cell(5, 6): 1}
+        past = MobilityDataset("tie")
+        for user in ("twin-b", "twin-a", "other"):
+            counts = twin if user != "other" else {Cell(40, 40): 2}
+            past.add(cell_trace(user, grid, counts))
+        hmc = HeatmapConfusion(ref_lat=45.0).fit(past)
+        probe = cell_trace("probe", grid, {Cell(5, 5): 1, Cell(5, 7): 1})
+        user, _ = assert_hmc_matches_reference(hmc, probe)
+        assert user == "twin-a"
+
+    @pytest.mark.parametrize(
+        "a, b, probe",
+        [
+            # The kernel scores a bit-exact tie, which it would give to "a".
+            (
+                {(5, 5): 2, (5, 6): 6, (9, 9): 8, (9, 10): 3},
+                {(5, 5): 2, (5, 6): 6, (1, 1): 3, (5, 8): 8},
+                {(5, 5): 4, (5, 6): 2, (5, 7): 7},
+            ),
+            # The kernel puts "a" two ulps ahead.
+            (
+                {(5, 5): 3, (5, 6): 9, (5, 7): 5, (5, 8): 1, (9, 9): 5, (9, 10): 8},
+                {(5, 5): 3, (5, 6): 9, (5, 7): 1, (5, 8): 5, (1, 1): 5, (0, 0): 8},
+                {(5, 5): 7, (5, 6): 7, (5, 7): 7, (5, 8): 7},
+            ),
+        ],
+    )
+    def test_last_ulp_near_tie_follows_the_scalar_verdict(self, a, b, probe):
+        # "a" and "b" are mathematically equidistant from the probe; the
+        # scalar path's summation order puts "b" one ulp ahead, the
+        # kernel's order does not.
+        grid = HeatmapConfusion(ref_lat=45.0).grid
+        past = MobilityDataset("near-tie")
+        for user, counts in (("a", a), ("b", b)):
+            past.add(cell_trace(user, grid, {Cell(*c): n for c, n in counts.items()}))
+        hmc = HeatmapConfusion(ref_lat=45.0).fit(past)
+        query = cell_trace("q", grid, {Cell(*c): n for c, n in probe.items()})
+        own = build_heatmap(query, grid)
+        kernel = hmc._kernel.divergences(own)
+        assert kernel[0] <= kernel[1]
+        exact = [heatmap_divergence(own, hmc._profiles[u]) for u in ("a", "b")]
+        assert 0.0 < exact[0] - exact[1] < 1e-15
+        user, _ = assert_hmc_matches_reference(hmc, query)
+        assert user == "b"
+
+    def test_negative_quadrant_cells(self):
+        # Santiago de Chile: negative rows and columns.
+        past = MobilityDataset("south-west")
+        for i in range(6):
+            past.add(random_walk_trace(60 + i, lat0=-33.45, lng0=-70.66).with_user(f"sw{i}"))
+        hmc = HeatmapConfusion(ref_lat=-33.45).fit(past)
+        for seed in (70, 71):
+            assert_hmc_matches_reference(
+                hmc, random_walk_trace(seed, lat0=-33.45, lng0=-70.66)
+            )
+
+    def test_negative_zero_latitude_keeps_its_bytes(self):
+        grid = HeatmapConfusion(ref_lat=0.0).grid
+        home = {Cell(0, 0): 6, Cell(1, 0): 1}
+        past = MobilityDataset("equator")
+        past.add(cell_trace("e1", grid, home))
+        past.add(cell_trace("e2", grid, {**home, Cell(2, 0): 1}))
+        hmc = HeatmapConfusion(ref_lat=0.0).fit(past)
+        probe = Trace(
+            "eq", [0.0, 60.0, 120.0], [-0.0, 0.001, -0.0], [0.001, 0.002, 0.003]
+        )
+        _, out = assert_hmc_matches_reference(hmc, probe)
+        # Cell (0, 0) maps onto itself, so its records are not shifted.
+        assert np.signbit(out.lats[0]) and np.signbit(out.lats[2])
+
+    def test_antimeridian_wrap(self):
+        # The pool's walks run past 180°E unnormalised, so records moved
+        # onto their cells leave [-180, 180) and wrap round.
+        past = MobilityDataset("dateline")
+        for i in range(4):
+            past.add(random_walk_trace(80 + i, lat0=-16.5, lng0=180.03).with_user(f"f{i}"))
+        hmc = HeatmapConfusion(ref_lat=-16.5).fit(past)
+        probe = random_walk_trace(90, lat0=-16.5, lng0=179.99)
+        _, out = assert_hmc_matches_reference(hmc, probe)
+        assert np.all(out.lngs < 180.0) and np.all(out.lngs >= -180.0)
+        assert np.any(out.lngs < 0.0)
